@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt deprecations chaos spillgate fuzzgate fusegate servegate durgate incgate check bench bench-json
+.PHONY: build test race vet fmt chaos spillgate fuzzgate fusegate servegate durgate incgate check bench bench-json
 
 build:
 	$(GO) build ./...
@@ -19,31 +19,6 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Fails if non-test code picks up the deprecated engine constructors
-# (use NewEngine with options); the definitions themselves and the
-# facade re-exports are allowed. Likewise for the deprecated streaming
-# surface — the positional NewStreamingJobLegacy constructor and the
-# job-level Feed*/TryFeed methods (use the options constructor and
-# job.Source(...) Feeders): here even tests must migrate, except the
-# one sanctioned compat test that pins the delegation behavior.
-deprecations:
-	@out=$$(grep -rn --include='*.go' \
-		--exclude='*_test.go' \
-		-E 'NewEngine(To|Observed|ObservedTo)\(' . \
-		| grep -v '^\./internal/temporal/engine\.go:' \
-		| grep -v '^\./timr\.go:' || true); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated engine constructors in non-test code:"; \
-		echo "$$out"; exit 1; fi
-	@out=$$(grep -rn --include='*.go' \
-		-E 'NewStreamingJobLegacy\(|(job|j|legacy)\.(Feed|FeedBatch|FeedColBatch|TryFeed)\(' . \
-		| grep -v '^\./internal/core/streaming\.go:' \
-		| grep -v '^\./internal/core/legacy_compat_test\.go:' \
-		| grep -v '^\./timr\.go:' || true); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated streaming surface (use NewStreamingJob options + job.Source feeders):"; \
-		echo "$$out"; exit 1; fi
-
 # Chaos equivalence under the race detector: streaming jobs with
 # injected partition crashes (multiple seeds) must match the crash-free
 # run bit-for-bit, and checkpoint roundtrips must be byte-identical.
@@ -53,9 +28,10 @@ chaos:
 # Out-of-core equivalence under the race detector: the BT pipeline with
 # the memory budget squeezed to a few KB (and with spilling forced) must
 # match the all-resident run bit-for-bit, as must a chained two-fragment
-# TiMR plan across budgets.
+# TiMR plan across budgets. -cpu 1,4 runs each test at GOMAXPROCS 1 and
+# 4, so parallel reducers race whatever the host's core count.
 spillgate:
-	$(GO) test -race -count=1 -run 'TestPipelineLowBudget|TestSpillBudgetEquivalence|TestMemoryBudgetOutputEquivalence' ./internal/bt/ ./internal/core/ ./internal/mapreduce/
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestPipelineLowBudget|TestSpillBudgetEquivalence|TestMemoryBudgetOutputEquivalence' ./internal/bt/ ./internal/core/ ./internal/mapreduce/
 
 # Short fuzz sweep over every decoder that parses untrusted bytes: the
 # row codec, the columnar block format, and checkpoint images. Corrupt
@@ -71,9 +47,10 @@ fuzzgate:
 # Fusion equivalence under the race detector: every fused/interpreted
 # differential — engine-level (row, columnar, fallback shapes, snapshot
 # interchange), TiMR columnar reducer feeds, streaming columnar chaos,
-# and the end-to-end BT pipeline — must be bit-identical.
+# and the end-to-end BT pipeline — must be bit-identical. -cpu 1,4 as in
+# spillgate.
 fusegate:
-	$(GO) test -race -count=1 -run 'TestFused' ./internal/temporal/ ./internal/core/ ./internal/bt/
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFused' ./internal/temporal/ ./internal/core/ ./internal/bt/
 
 # Elastic-serving equivalence under the race detector: live partition
 # migration (forced splits/merges, mid-interval, composed with crash
@@ -102,7 +79,7 @@ incgate:
 # The full pre-merge gate. Perf changes should additionally refresh the
 # tracked benchmark snapshot via `make bench-json` (not part of check:
 # benchmark timings are host-dependent and would make the gate flaky).
-check: vet fmt deprecations race chaos spillgate fuzzgate fusegate servegate durgate incgate
+check: vet fmt race chaos spillgate fuzzgate fusegate servegate durgate incgate
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

@@ -21,8 +21,7 @@
 //	timr refresh [-days N] [-mode auto|full|delta] [-warm] [-durdir DIR]
 //	timr bench-json [-out BENCH_pr10.json]
 //
-// Bare `timr [flags]` (no subcommand) is the deprecated legacy spelling
-// of `timr run` and keeps working with a note on stderr.
+// A missing or unknown subcommand prints usage and exits 2.
 package main
 
 import (
@@ -33,35 +32,38 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
-		case "run":
-			runCmd(args[1:])
-			return
-		case "serve":
-			serveCmd(args[1:])
-			return
-		case "refresh":
-			refreshCmd(args[1:])
-			return
-		case "bench-json":
-			if err := benchjson.RunCLI(args[1:]); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		case "help", "-h", "-help", "--help":
-			fmt.Fprintln(os.Stderr, "usage: timr <run|serve|refresh|bench-json> [flags]\n\nrun flags:")
-			runFlags(nil).PrintDefaults()
-			fmt.Fprintln(os.Stderr, "\nserve flags:")
-			serveFlags(nil).PrintDefaults()
-			fmt.Fprintln(os.Stderr, "\nrefresh flags:")
-			refreshFlags(nil).PrintDefaults()
-			return
-		}
+	if len(os.Args) < 2 {
+		usage()
+		os.Exit(2)
 	}
-	// No subcommand: the pre-subcommand CLI shape, kept for scripts.
-	fmt.Fprintln(os.Stderr, "timr: note: bare `timr [flags]` is deprecated; use `timr run [flags]`")
-	runCmd(args)
+	args := os.Args[2:]
+	switch os.Args[1] {
+	case "run":
+		runCmd(args)
+	case "serve":
+		serveCmd(args)
+	case "refresh":
+		refreshCmd(args)
+	case "bench-json":
+		if err := benchjson.RunCLI(args); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	case "help", "-h", "-help", "--help":
+		usage()
+	default:
+		fmt.Fprintf(os.Stderr, "timr: unknown subcommand %q\n", os.Args[1])
+		usage()
+		os.Exit(2)
+	}
+}
+
+// usage prints the subcommands and their flags to stderr.
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: timr <run|serve|refresh|bench-json> [flags]\n\nrun flags:")
+	runFlags(nil).PrintDefaults()
+	fmt.Fprintln(os.Stderr, "\nserve flags:")
+	serveFlags(nil).PrintDefaults()
+	fmt.Fprintln(os.Stderr, "\nrefresh flags:")
+	refreshFlags(nil).PrintDefaults()
 }

@@ -69,13 +69,25 @@ func CustomRunningClickCountStage(input, output string, window temporal.Time) ma
 	)
 	return mapreduce.Stage{
 		Name: "custom-rcc", Inputs: []string{input}, Output: output, OutSchema: outSchema,
-		Partition: mapreduce.PartitionByCols([][]int{{2}}),
-		Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
+		PartitionCols: [][]int{{2}},
+		Reduce: wholePartition(func(in [][]mapreduce.Row, emit func(mapreduce.Row)) {
 			for _, r := range CustomRunningClickCount(in[0], window) {
 				emit(r)
 			}
-			return nil
-		},
+		}),
+	}
+}
+
+// wholePartition adapts a hand-written reducer over whole row slices (one
+// per source) to the cluster's segment-list contract.
+func wholePartition(f func(in [][]mapreduce.Row, emit func(mapreduce.Row))) mapreduce.Reducer {
+	return func(_ int, segs [][]mapreduce.Segment, emit func(mapreduce.Row)) error {
+		in, err := mapreduce.Materialize(segs)
+		if err != nil {
+			return err
+		}
+		f(in, emit)
+		return nil
 	}
 }
 

@@ -76,63 +76,56 @@ var (
 // on the cluster — the configuration the paper times against TiMR in
 // Figure 14 (right). Unlike TiMR, every reducer is query-specific code.
 func CustomBTJob(c *mapreduce.Cluster, input string, p CustomParams) (*mapreduce.JobStat, error) {
-	userCol := func(col int) func(temporal.Row, int) uint64 {
-		return mapreduce.PartitionByCols([][]int{{col}})
-	}
 	stages := []mapreduce.Stage{
 		{
 			Name: "custom-botelim", Inputs: []string{input}, Output: CustomDSClean,
-			OutSchema: workload.UnifiedSchema(), Partition: userCol(2),
-			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
+			OutSchema: workload.UnifiedSchema(), PartitionCols: [][]int{{2}},
+			Reduce: wholePartition(func(in [][]mapreduce.Row, emit func(mapreduce.Row)) {
 				for _, r := range CustomBotElim(in[0], p) {
 					emit(r)
 				}
-				return nil
-			},
+			}),
 		},
 		{
 			Name: "custom-label", Inputs: []string{CustomDSClean}, Output: CustomDSLabeled,
-			OutSchema: customLabeledSchema, Partition: userCol(2),
-			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
+			OutSchema: customLabeledSchema, PartitionCols: [][]int{{2}},
+			Reduce: wholePartition(func(in [][]mapreduce.Row, emit func(mapreduce.Row)) {
 				for _, r := range CustomLabel(in[0], p) {
 					emit(r)
 				}
-				return nil
-			},
+			}),
 		},
 		{
 			Name:   "custom-traindata",
 			Inputs: []string{CustomDSLabeled, CustomDSClean}, Output: CustomDSTrain,
-			OutSchema: customTrainSchema,
-			Partition: mapreduce.PartitionByCols([][]int{{1}, {2}}), // UserId in each schema
-			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
+			OutSchema:     customTrainSchema,
+			PartitionCols: [][]int{{1}, {2}}, // UserId in each schema
+			Reduce: wholePartition(func(in [][]mapreduce.Row, emit func(mapreduce.Row)) {
 				for _, r := range CustomTrainData(in[0], in[1], p) {
 					emit(r)
 				}
-				return nil
-			},
+			}),
 		},
 		{
 			Name:   "custom-featureselect",
 			Inputs: []string{CustomDSLabeled, CustomDSTrain}, Output: CustomDSScores,
-			OutSchema: customScoreSchema,
-			Partition: mapreduce.PartitionByCols([][]int{{2}, {2}}), // AdId in each schema
-			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
+			OutSchema:     customScoreSchema,
+			PartitionCols: [][]int{{2}, {2}}, // AdId in each schema
+			Reduce: wholePartition(func(in [][]mapreduce.Row, emit func(mapreduce.Row)) {
 				for _, s := range CustomFeatureSelect(in[0], in[1], p) {
 					emit(temporal.Row{
 						temporal.Int(s.AdID), temporal.Int(s.Keyword),
 						temporal.Int(s.Win), temporal.Float(s.Z),
 					})
 				}
-				return nil
-			},
+			}),
 		},
 		{
 			Name:   "custom-reduce",
 			Inputs: []string{CustomDSTrain, CustomDSScores}, Output: CustomDSReduced,
-			OutSchema: customTrainSchema,
-			Partition: mapreduce.PartitionByCols([][]int{{2}, {0}}), // AdId
-			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
+			OutSchema:     customTrainSchema,
+			PartitionCols: [][]int{{2}, {0}}, // AdId
+			Reduce: wholePartition(func(in [][]mapreduce.Row, emit func(mapreduce.Row)) {
 				scores := make([]KeywordScore, len(in[1]))
 				for i, r := range in[1] {
 					scores[i] = KeywordScore{
@@ -143,15 +136,14 @@ func CustomBTJob(c *mapreduce.Cluster, input string, p CustomParams) (*mapreduce
 				for _, r := range CustomReduce(in[0], scores, p.TrainPeriod) {
 					emit(r)
 				}
-				return nil
-			},
+			}),
 		},
 		{
 			Name:   "custom-models",
 			Inputs: []string{CustomDSReduced}, Output: CustomDSModels,
-			OutSchema: customModelSchema,
-			Partition: mapreduce.PartitionByCols([][]int{{2}}), // AdId
-			Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
+			OutSchema:     customModelSchema,
+			PartitionCols: [][]int{{2}}, // AdId
+			Reduce: wholePartition(func(in [][]mapreduce.Row, emit func(mapreduce.Row)) {
 				models := CustomModels(in[0], p)
 				ads := make([]int64, 0, len(models))
 				for ad := range models {
@@ -161,8 +153,7 @@ func CustomBTJob(c *mapreduce.Cluster, input string, p CustomParams) (*mapreduce
 				for _, ad := range ads {
 					emit(temporal.Row{temporal.Int(ad), temporal.String(serializeCustomModel(models[ad]))})
 				}
-				return nil
-			},
+			}),
 		},
 	}
 	return c.Run(stages...)

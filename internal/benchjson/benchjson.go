@@ -7,8 +7,7 @@
 // output format, keeping ns/op plus any custom metrics the benchmarks
 // report (rows/s, events/sec, p99_us, ...).
 //
-// Both `timr bench-json` and the legacy cmd/benchjson front this
-// package.
+// `timr bench-json` fronts this package.
 package benchjson
 
 import (
@@ -68,9 +67,8 @@ type Run struct {
 	Pkg, Pattern, Benchtime string
 }
 
-// RunCLI is the bench-json entry point shared by the timr subcommand
-// and the legacy cmd/benchjson wrapper. args are the flags after the
-// command name.
+// RunCLI is the entry point of the `timr bench-json` subcommand. args are
+// the flags after the subcommand name.
 func RunCLI(args []string) error {
 	fs := flag.NewFlagSet("bench-json", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_pr10.json", "output JSON file")

@@ -1,6 +1,8 @@
 package bt
 
 import (
+	"sync"
+
 	"timr/internal/ml"
 	"timr/internal/stats"
 	"timr/internal/temporal"
@@ -43,17 +45,19 @@ func ScorePlan(p Params, annotate bool) *temporal.Plan {
 	joined := rows.Join(models, []string{"AdId"}, []string{"AdId"}, nil)
 
 	// Per-row partial dot product w_kw * count. Model blobs are parsed
-	// once per distinct string through a tiny cache.
-	cache := map[string]*ml.Model{}
+	// once per distinct string through a tiny cache, shared by every
+	// engine compiled from this plan — parallel reducers and streaming
+	// partitions included, hence the concurrent map.
+	var cache sync.Map // blob string -> *ml.Model
 	lookup := func(blob string) *ml.Model {
-		if m, ok := cache[blob]; ok {
-			return m
+		if m, ok := cache.Load(blob); ok {
+			return m.(*ml.Model)
 		}
 		m, err := ParseModel(blob)
 		if err != nil {
 			m = &ml.Model{Weights: map[int64]float64{}}
 		}
-		cache[blob] = m
+		cache.Store(blob, m)
 		return m
 	}
 	partial := joined.Project(

@@ -222,49 +222,6 @@ func NewStreamingJob(plan *temporal.Plan, sources map[string]*temporal.Schema, o
 	return j, nil
 }
 
-// NewStreamingJobLegacy is the pre-options positional constructor.
-//
-// Deprecated: use NewStreamingJob(plan, sources, WithMachines(machines),
-// WithConfig(cfg), WithOnEvent(onEvent)).
-func NewStreamingJobLegacy(plan *temporal.Plan, sources map[string]*temporal.Schema, machines int, cfg Config, onEvent func(temporal.Event)) (*StreamingJob, error) {
-	return NewStreamingJob(plan, sources, WithMachines(machines), WithConfig(cfg), WithOnEvent(onEvent))
-}
-
-// Feed pushes one source event into the dataflow.
-//
-// Deprecated: resolve the source once with job.Source(source) and use
-// Feeder.Feed — the per-call map lookup disappears and admission
-// accounting attaches there.
-func (j *StreamingJob) Feed(source string, ev temporal.Event) error {
-	f, err := j.Source(source)
-	if err != nil {
-		return err
-	}
-	return f.Feed(ev)
-}
-
-// FeedBatch pushes a run of source events into the dataflow.
-//
-// Deprecated: use job.Source(source) and Feeder.FeedBatch.
-func (j *StreamingJob) FeedBatch(source string, events []temporal.Event) error {
-	f, err := j.Source(source)
-	if err != nil {
-		return err
-	}
-	return f.FeedBatch(events)
-}
-
-// FeedColBatch pushes a columnar source batch into the dataflow.
-//
-// Deprecated: use job.Source(source) and Feeder.FeedColBatch.
-func (j *StreamingJob) FeedColBatch(source string, cb *temporal.ColBatch) error {
-	f, err := j.Source(source)
-	if err != nil {
-		return err
-	}
-	return f.FeedColBatch(cb)
-}
-
 // Advance propagates a punctuation wave through the DAG: stage by stage
 // in topological order, each stage first releases everything the wave
 // guarantees complete, then punctuates its engines, whose flushed output

@@ -184,9 +184,9 @@ func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
 	}
 
 	if len(frag.Part.Cols) == 0 {
-		// Non-partitionable fragment: single task.
+		// Non-partitionable fragment: single task (no key declared, so
+		// every row goes to partition 0).
 		st.NumPartitions = 1
-		st.Partition = func(mapreduce.Row, int) uint64 { return 0 }
 	} else {
 		// hash(key) mod #machines (§III-C.3): one engine instance serves
 		// a whole hash bucket of logical groups.
@@ -194,12 +194,12 @@ func (t *TiMR) Stage(frag *Fragment) (mapreduce.Stage, error) {
 		for i, in := range frag.Inputs {
 			cols[i] = partitionCols(in, frag.Inputs[i].Part.Cols)
 		}
-		// Declared positionally (not as a Partition closure) so columnar
-		// map input hashes whole columns without materializing rows.
+		// Declared positionally so columnar map input hashes whole
+		// columns without materializing rows.
 		st.PartitionCols = cols
 	}
 
-	st.ReduceSegments = t.reducer(frag, nil)
+	st.Reduce = t.reducer(frag, nil)
 	return st, nil
 }
 
@@ -261,12 +261,11 @@ func partitionCols(in FragmentInput, cols []string) []int {
 
 // reducer builds the method P for a fragment. If spans is non-nil, output
 // events are clipped to the owned interval (temporal partitioning). The
-// returned function has the out-of-core signature
-// (mapreduce.Stage.ReduceSegments): each input arrives as a list of
+// returned reducer works out of core: each input arrives as a list of
 // shuffle-run segments, resident or spilled, and P streams them through
 // a k-way merge into the engine instead of materializing the partition
 // — its working set is the merge frontier plus one feed batch.
-func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) func(int, [][]mapreduce.Segment, func(mapreduce.Row)) error {
+func (t *TiMR) reducer(frag *Fragment, spans *SpanSpec) mapreduce.Reducer {
 	// Capture per-input conversion metadata once.
 	type inMeta struct {
 		scan         string
@@ -566,7 +565,7 @@ func (t *TiMR) temporalStage(st *mapreduce.Stage, frag *Fragment) error {
 		}
 		return spans.SpansFor(r[timeCols[src]].AsInt())
 	}
-	st.ReduceSegments = t.reducer(frag, spans)
+	st.Reduce = t.reducer(frag, spans)
 	return nil
 }
 

@@ -41,8 +41,12 @@ func Shuffle(c *Context) (*Table, error) {
 	st := mapreduce.Stage{
 		Name: "repartition", Inputs: []string{"in"}, Output: "out", OutSchema: schema,
 		NumPartitions: 64,
-		Partition:     mapreduce.PartitionByCols([][]int{{0, 2}}),
-		Reduce: func(part int, in [][]mapreduce.Row, emit func(mapreduce.Row)) error {
+		PartitionCols: [][]int{{0, 2}},
+		Reduce: func(part int, segs [][]mapreduce.Segment, emit func(mapreduce.Row)) error {
+			in, err := mapreduce.Materialize(segs)
+			if err != nil {
+				return err
+			}
 			for _, r := range in[0] {
 				emit(r)
 			}

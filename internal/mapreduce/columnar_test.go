@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"timr/internal/temporal"
@@ -39,7 +40,7 @@ func columnarStage(in, out string, nparts int) Stage {
 		PartitionCols: [][]int{{1}},
 		RunKey:        func(r Row, src int) int64 { return r[0].AsInt() },
 		RunKeyCols:    []int{0},
-		ReduceSegments: func(part int, in [][]Segment, emit func(Row)) error {
+		Reduce: func(part int, in [][]Segment, emit func(Row)) error {
 			for _, segs := range in {
 				rd := NewRowReader(segs...)
 				for {
@@ -106,18 +107,20 @@ func TestColumnarFastPathSortednessAnnotation(t *testing.T) {
 	for i := range ordered {
 		reversed[i] = ordered[len(ordered)-1-i]
 	}
-	run := func(rows []Row) (sorted, total int) {
+	run := func(rows []Row) (sorted, total int64) {
 		c := NewCluster(Config{Machines: 2, MemoryBudget: SpillAll})
 		defer c.Close()
 		cb := temporal.ColBatchFromRows(rows, 3)
 		c.FS.Write("in", SingleColumnarPartition(columnarTestSchema(), cb, true))
 		st := columnarStage("in", "out", 2)
-		st.ReduceSegments = func(part int, in [][]Segment, emit func(Row)) error {
+		// The two partitions' reducers run concurrently.
+		var nSorted, nTotal atomic.Int64
+		st.Reduce = func(part int, in [][]Segment, emit func(Row)) error {
 			for _, segs := range in {
 				for i := range segs {
-					total++
+					nTotal.Add(1)
 					if segs[i].Sorted() {
-						sorted++
+						nSorted.Add(1)
 					}
 				}
 			}
@@ -126,25 +129,12 @@ func TestColumnarFastPathSortednessAnnotation(t *testing.T) {
 		if _, err := c.Run(st); err != nil {
 			t.Fatal(err)
 		}
-		return sorted, total
+		return nSorted.Load(), nTotal.Load()
 	}
 	if sorted, total := run(ordered); total == 0 || sorted != total {
 		t.Fatalf("ordered columnar input: %d/%d runs marked sorted", sorted, total)
 	}
 	if sorted, total := run(reversed); total == 0 || sorted != 0 {
 		t.Fatalf("reversed columnar input: %d/%d runs marked sorted", sorted, total)
-	}
-}
-
-// TestPartitionColsExclusiveWithPartition pins the Stage-validation
-// contract: declaring both the closure and the columns is a config bug.
-func TestPartitionColsExclusiveWithPartition(t *testing.T) {
-	c := NewCluster(Config{Machines: 2})
-	defer c.Close()
-	c.FS.Write("in", SinglePartition(columnarTestSchema(), columnarTestRows(10)))
-	st := columnarStage("in", "out", 2)
-	st.Partition = PartitionByCols([][]int{{1}})
-	if _, err := c.Run(st); err == nil {
-		t.Fatal("stage with both Partition and PartitionCols must be rejected")
 	}
 }

@@ -17,13 +17,19 @@ import (
 
 // Reducer is the per-partition computation of a stage (paper §II-B: "a
 // reducer method that accepts all rows belonging to the same partition,
-// and returns result rows"). in holds the partition's rows, one slice per
-// stage input. Reducers must be deterministic in their input: the cluster
-// restarts failed attempts and verifies repeatability.
-type Reducer func(part int, in [][]Row, emit func(Row)) error
+// and returns result rows"). in holds the partition's shuffle output, one
+// segment list per stage input: each segment is one shuffle run
+// (resident or spilled), a contiguous chunk of one input partition in its
+// original order, so it is time-sorted whenever that input partition was.
+// Reducers that want whole row slices call Materialize; TiMR's reducer
+// streams the runs through a k-way merge instead. Reducers must be
+// deterministic in their input: the cluster restarts failed attempts and
+// verifies repeatability.
+type Reducer func(part int, in [][]Segment, emit func(Row)) error
 
-// Stage is one map-reduce stage: a partitioning function (the "map" side)
-// plus a reducer applied to every partition.
+// Stage is one map-reduce stage: a key declaration (the "map" side) plus
+// a reducer applied to every partition. A stage that declares neither
+// PartitionCols nor MultiPartition sends every row to partition 0.
 type Stage struct {
 	Name      string
 	Inputs    []string
@@ -32,44 +38,27 @@ type Stage struct {
 	// NumPartitions defaults to the cluster's machine count — the paper's
 	// hash(key) mod #machines scheme (§III-C.3).
 	NumPartitions int
-	// Partition maps a row (from input src) to a partition key hash.
-	// Rows with equal hashes meet in the same reducer invocation.
-	Partition func(r Row, src int) uint64
-	// PartitionCols, when set instead of Partition, declares the key
-	// columns per input source (hash = temporal.HashRow over them).
-	// Declaring columns rather than a function is what enables the
-	// columnar map fast path: columnar input segments are hashed
-	// column-at-a-time (dictionary entries hashed once, not once per
-	// row) and routed by index permutation instead of materializing
-	// rows. Row-backed inputs behave exactly as with
-	// PartitionByCols(PartitionCols).
+	// PartitionCols declares the key columns per input source: a row goes
+	// to partition temporal.HashRow(row, PartitionCols[src]) mod
+	// NumPartitions, so rows with equal keys meet in the same reducer
+	// invocation. Declaring columns rather than a function is what
+	// enables the columnar map fast path: columnar input segments are
+	// hashed column-at-a-time (dictionary entries hashed once, not once
+	// per row) and routed by index permutation instead of materializing
+	// rows.
 	PartitionCols [][]int
 	// RunKeyCols, set alongside RunKey, names per source the int64
 	// column RunKey reads (-1 for none), so the columnar path can check
 	// run order against the raw column vector. RunKeyCols[src] must
 	// agree with RunKey(r, src) == r[RunKeyCols[src]].AsInt().
 	RunKeyCols []int
-	// MultiPartition, when set, supersedes Partition and may replicate a
-	// row into several partitions (given directly as partition indexes in
-	// [0, NumPartitions)). TiMR's temporal partitioning uses this: events
-	// in a span-overlap region belong to both adjacent spans (§III-B).
+	// MultiPartition, when set, supersedes PartitionCols and may
+	// replicate a row into several partitions (given directly as
+	// partition indexes in [0, NumPartitions)). TiMR's temporal
+	// partitioning uses this: events in a span-overlap region belong to
+	// both adjacent spans (§III-B).
 	MultiPartition func(r Row, src int, nparts int) []int
 	Reduce         Reducer
-	// ReduceRuns, when set, supersedes Reduce and additionally receives
-	// the shuffle's run structure: runs[src] lists the lengths of the
-	// consecutive row runs that make up in[src]. Each run is a contiguous
-	// chunk of one input partition in its original order, so it is
-	// time-sorted whenever that input partition was — which lets
-	// order-sensitive reducers merge runs instead of re-sorting the whole
-	// partition. Inputs are materialized in memory before the reducer
-	// runs; out-of-core reducers use ReduceSegments instead.
-	ReduceRuns func(part int, in [][]Row, runs [][]int, emit func(Row)) error
-	// ReduceSegments, when set, supersedes Reduce and ReduceRuns: the
-	// reducer receives the shuffle output as per-source segment lists
-	// (each segment one shuffle run, resident or spilled) and pulls rows
-	// through RowReaders instead of receiving whole row slices — the
-	// out-of-core path TiMR's reducer P runs on.
-	ReduceSegments func(part int, in [][]Segment, emit func(Row)) error
 	// RunKey, when set, extracts the sort key each input partition is
 	// ordered by (per source). The map phase uses it to annotate every
 	// shuffle run's Segment.Sorted flag inline, which is the only moment
@@ -425,7 +414,7 @@ type mapTask struct {
 	bytes        int                  // shuffle bytes produced (RowBytes per destination copy)
 	dups         int                  // shuffle rows produced (>= input rows under MultiPartition)
 	stat         TaskStat
-	err          error // user partition-fn panic or spill I/O, isolated by the worker
+	err          error // user MultiPartition/RunKey panic or spill I/O, isolated by the worker
 }
 
 // workers resolves the worker-pool size for a phase with n parallel
@@ -572,7 +561,10 @@ func runMapTask(s *Stage, t *mapTask, nparts int) error {
 			}
 			continue
 		}
-		p := int(s.Partition(r, t.src) % uint64(nparts))
+		p := 0
+		if s.PartitionCols != nil {
+			p = int(temporal.HashRow(r, s.PartitionCols[t.src]) % uint64(nparts))
+		}
 		route(p, r, b, key)
 	}
 	return nil
@@ -639,14 +631,8 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 		nparts = c.Cfg.Machines
 	}
 	stat := &StageStat{Name: s.Name, Partitions: nparts}
-	if s.Reduce == nil && s.ReduceRuns == nil && s.ReduceSegments == nil {
-		return stat, fmt.Errorf("stage %s: no reducer", s.Name)
-	}
-	if s.PartitionCols != nil {
-		if s.Partition != nil {
-			return stat, fmt.Errorf("stage %s: set Partition or PartitionCols, not both", s.Name)
-		}
-		s.Partition = PartitionByCols(s.PartitionCols)
+	if s.Reduce == nil {
+		return stat, fmt.Errorf("no reducer")
 	}
 
 	// ---- Map phase: read inputs, partition rows in parallel ----
@@ -703,13 +689,13 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 				}
 				t := tasks[i]
 				t0 := time.Now()
-				// Isolate user partition-fn panics: one poisoned row must
-				// fail the job with a diagnosable error, not kill the
-				// process (and every other in-flight task) with it.
+				// Isolate user MultiPartition/RunKey panics: one poisoned
+				// row must fail the job with a diagnosable error, not kill
+				// the process (and every other in-flight task) with it.
 				func() {
 					defer func() {
 						if rec := recover(); rec != nil {
-							t.err = fmt.Errorf("mapreduce: stage %s: map task %d panicked: %v", s.Name, i, rec)
+							t.err = fmt.Errorf("map task %d panicked: %v", i, rec)
 						}
 					}()
 					t.err = runMapTask(s, t, nparts)
@@ -825,19 +811,6 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			res := result{part: p, stat: TaskStat{Stage: s.Name, Partition: p, Rows: n}}
-			// The materialized-input compat paths (Reduce, ReduceRuns)
-			// decode spilled runs once, before the attempt loop: retried
-			// attempts rerun on the same input, as before.
-			var in [][]Row
-			var runs [][]int
-			if s.ReduceSegments == nil {
-				var err error
-				if in, runs, err = materializeRuns(parts[p]); err != nil {
-					res.err = err
-					results[p] = res
-					return
-				}
-			}
 			succeeded := false
 			var lastPanic any
 			for attempt := 1; attempt <= c.Cfg.MaxAttempts; attempt++ {
@@ -859,14 +832,7 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 							lastPanic = rec
 						}
 					}()
-					switch {
-					case s.ReduceSegments != nil:
-						err = s.ReduceSegments(p, parts[p], emit)
-					case s.ReduceRuns != nil:
-						err = s.ReduceRuns(p, in, runs, emit)
-					default:
-						err = s.Reduce(p, in, emit)
-					}
+					err = s.Reduce(p, parts[p], emit)
 				}()
 				if fail || panicked {
 					// The attempt's partial output is discarded, exactly
@@ -958,12 +924,11 @@ func (c *Cluster) runStageFiles(s *Stage, files *stageFiles) (*StageStat, error)
 	return stat, nil
 }
 
-// materializeRuns builds the contiguous per-source row slices (and run
-// lengths) the materialized reducer signatures expect, decoding spilled
-// runs as needed.
-func materializeRuns(segs [][]Segment) (in [][]Row, runs [][]int, err error) {
-	in = make([][]Row, len(segs))
-	runs = make([][]int, len(segs))
+// Materialize decodes a reducer's segment lists into one contiguous row
+// slice per source, in shuffle order, reading spilled runs back as
+// needed — the input shape of reducers that work on whole partitions.
+func Materialize(segs [][]Segment) ([][]Row, error) {
+	in := make([][]Row, len(segs))
 	for src, list := range segs {
 		total := 0
 		for i := range list {
@@ -976,14 +941,13 @@ func materializeRuns(segs [][]Segment) (in [][]Row, runs [][]int, err error) {
 		for i := range list {
 			mat, err := list[i].Materialize()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			rows = append(rows, mat...)
-			runs[src] = append(runs[src], list[i].Len())
 		}
 		in[src] = rows
 	}
-	return in, runs, nil
+	return in, nil
 }
 
 // emitStageMetrics publishes a completed stage's accounting into the
@@ -1028,12 +992,4 @@ func (c *Cluster) emitStageMetrics(stat *StageStat) {
 // arbitrarily more than their nominal limit.
 func RowBytes(r Row) int {
 	return temporal.RowEncodedLen(r)
-}
-
-// PartitionByCols builds a Partition function hashing the given column
-// positions (per input source).
-func PartitionByCols(colsPerSrc [][]int) func(Row, int) uint64 {
-	return func(r Row, src int) uint64 {
-		return temporal.HashRow(r, colsPerSrc[src])
-	}
 }

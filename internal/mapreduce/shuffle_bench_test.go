@@ -60,22 +60,15 @@ func benchShuffleInput() (rowDS, colDS *Dataset) {
 	return shuffleBenchRowDS, shuffleBenchColDS
 }
 
-func benchShuffleStage(schema *Schema, columnar bool) Stage {
-	st := Stage{
+func benchShuffleStage(schema *Schema) Stage {
+	// A no-op reducer: the benchmark isolates the map/shuffle path, and
+	// the shuffle's batches are not materialized just to be discarded.
+	return Stage{
 		Name: "shuffle", Inputs: []string{"in"}, Output: "out", OutSchema: schema,
 		NumPartitions: 64,
+		PartitionCols: [][]int{{0, 2}},
+		Reduce:        func(part int, in [][]Segment, emit func(Row)) error { return nil },
 	}
-	// No-op reducers: the benchmark isolates the map/shuffle path. The
-	// columnar variant takes segments so the shuffle's batches are not
-	// materialized to rows just to be discarded.
-	if columnar {
-		st.PartitionCols = [][]int{{0, 2}}
-		st.ReduceSegments = func(part int, in [][]Segment, emit func(Row)) error { return nil }
-	} else {
-		st.Partition = PartitionByCols([][]int{{0, 2}})
-		st.Reduce = func(part int, in [][]Row, emit func(Row)) error { return nil }
-	}
-	return st
 }
 
 func benchShuffle(b *testing.B, mapWorkers int, columnar bool) {
@@ -84,7 +77,7 @@ func benchShuffle(b *testing.B, mapWorkers int, columnar bool) {
 	if columnar {
 		ds = colDS
 	}
-	st := benchShuffleStage(ds.Schema, columnar)
+	st := benchShuffleStage(ds.Schema)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := NewCluster(Config{Machines: 64, MapWorkers: mapWorkers})
@@ -111,11 +104,10 @@ func benchSpill(b *testing.B, budget int64, columnar bool) {
 	if columnar {
 		ds = colDS
 	}
-	st := benchShuffleStage(ds.Schema, columnar)
+	st := benchShuffleStage(ds.Schema)
 	st.Name = "spill"
-	st.Reduce = nil
 	var sum int64 // reducers run concurrently; accumulate atomically
-	st.ReduceSegments = func(part int, in [][]Segment, emit func(Row)) error {
+	st.Reduce = func(part int, in [][]Segment, emit func(Row)) error {
 		var local int64
 		for i := range in[0] {
 			seg := &in[0][i]

@@ -16,15 +16,14 @@ func identityStage(in, out string) Stage {
 	return Stage{
 		Name: "identity", Inputs: []string{in}, Output: out, OutSchema: kvSchema(),
 		NumPartitions: 1,
-		Partition:     func(Row, int) uint64 { return 0 },
-		Reduce: func(part int, in [][]Row, emit func(Row)) error {
+		Reduce: rowReducer(func(part int, in [][]Row, emit func(Row)) error {
 			for _, rows := range in {
 				for _, r := range rows {
 					emit(r)
 				}
 			}
 			return nil
-		},
+		}),
 	}
 }
 
@@ -86,7 +85,8 @@ func TestMapDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 func TestShuffleThreadsRunBoundaries(t *testing.T) {
 	// Each input partition arrives at the reducer as one run (below the
-	// chunking threshold), in input-partition order.
+	// chunking threshold), in input-partition order, and keeps its
+	// RunKey order.
 	c := NewCluster(Config{Machines: 4})
 	in := NewDataset(kvSchema(), 4)
 	in.Append(0, []Row{{temporal.Int(1), temporal.Int(10)}, {temporal.Int(2), temporal.Int(20)}})
@@ -94,22 +94,31 @@ func TestShuffleThreadsRunBoundaries(t *testing.T) {
 	// partition 2 stays empty: empty partitions contribute no run
 	in.Append(3, []Row{{temporal.Int(4), temporal.Int(40)}, {temporal.Int(5), temporal.Int(50)}, {temporal.Int(6), temporal.Int(60)}})
 	c.FS.Write("in", in)
-	var gotRuns [][]int
+	var gotRuns []int
 	var gotRows []Row
 	st := Stage{
 		Name: "runs", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 1,
-		Partition:     func(Row, int) uint64 { return 0 },
-		ReduceRuns: func(part int, in [][]Row, runs [][]int, emit func(Row)) error {
-			gotRuns = append([][]int(nil), runs...)
-			gotRows = append([]Row(nil), in[0]...)
+		RunKey:        func(r Row, src int) int64 { return r[1].AsInt() },
+		Reduce: func(part int, in [][]Segment, emit func(Row)) error {
+			for i := range in[0] {
+				if !in[0][i].Sorted() {
+					t.Errorf("run %d not marked sorted", i)
+				}
+				gotRuns = append(gotRuns, in[0][i].Len())
+			}
+			rows, err := Materialize(in)
+			if err != nil {
+				return err
+			}
+			gotRows = rows[0]
 			return nil
 		},
 	}
 	if _, err := c.Run(st); err != nil {
 		t.Fatal(err)
 	}
-	if want := [][]int{{2, 1, 3}}; !reflect.DeepEqual(gotRuns, want) {
+	if want := []int{2, 1, 3}; !reflect.DeepEqual(gotRuns, want) {
 		t.Fatalf("runs = %v, want %v", gotRuns, want)
 	}
 	if !reflect.DeepEqual(gotRows, in.Flatten()) {
@@ -128,10 +137,16 @@ func TestMapChunkingSplitsLargePartitions(t *testing.T) {
 	st := Stage{
 		Name: "chunks", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 		NumPartitions: 1,
-		Partition:     func(Row, int) uint64 { return 0 },
-		ReduceRuns: func(part int, in [][]Row, runs [][]int, emit func(Row)) error {
-			gotRuns = append([]int(nil), runs[0]...)
-			for _, r := range in[0] {
+		Reduce: func(part int, in [][]Segment, emit func(Row)) error {
+			gotRuns = gotRuns[:0]
+			for i := range in[0] {
+				gotRuns = append(gotRuns, in[0][i].Len())
+			}
+			rows, err := Materialize(in)
+			if err != nil {
+				return err
+			}
+			for _, r := range rows[0] {
 				emit(r)
 			}
 			return nil
@@ -166,8 +181,8 @@ func TestParallelMapSpeedup(t *testing.T) {
 	st := Stage{
 		Name: "speedup", Inputs: []string{"in"}, Output: "out", OutSchema: ds.Schema,
 		NumPartitions: 64,
-		Partition:     PartitionByCols([][]int{{0, 2}}),
-		Reduce:        func(part int, in [][]Row, emit func(Row)) error { return nil },
+		PartitionCols: [][]int{{0, 2}},
+		Reduce:        func(part int, in [][]Segment, emit func(Row)) error { return nil },
 	}
 	wall := func(workers int) time.Duration {
 		best := time.Duration(1<<62 - 1)

@@ -169,9 +169,8 @@ func TestSpillRunSortednessAnnotation(t *testing.T) {
 		st := Stage{
 			Name: "runkey", Inputs: []string{"in"}, Output: "out", OutSchema: kvSchema(),
 			NumPartitions: 1,
-			Partition:     func(Row, int) uint64 { return 0 },
 			RunKey:        func(r Row, src int) int64 { return r[1].AsInt() },
-			ReduceSegments: func(part int, in [][]Segment, emit func(Row)) error {
+			Reduce: func(part int, in [][]Segment, emit func(Row)) error {
 				for _, segs := range in {
 					for i := range segs {
 						totalSegs++

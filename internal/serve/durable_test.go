@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
 	"timr/internal/dur"
@@ -54,6 +55,36 @@ func TestDurableServeRestartBitIdentity(t *testing.T) {
 	}
 	if !temporal.EventsEqual(got, want) {
 		t.Fatalf("restarted serving diverges: %d vs %d events", len(got), len(want))
+	}
+}
+
+func TestDurableServeResumeRequiresOffset(t *testing.T) {
+	// A generation without the reduced source's input offset cannot be
+	// resumed by seeking; the restart must fail loudly, not restart the
+	// schedule from scratch.
+	dir := t.TempDir()
+	durable := func(c *Config) { c.DurDir = dir }
+	if _, err := prepared(t, durable).RunKilled(700); err != nil {
+		t.Fatal(err)
+	}
+	store, err := dur.OpenStore(dir, dur.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := store.Load()
+	if err != nil || rec == nil {
+		t.Fatalf("load newest generation: rec=%v err=%v", rec, err)
+	}
+	rec.Snap.Offsets = nil
+	if err := store.Commit(rec.Snap); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = prepared(t, durable).Run()
+	if err == nil {
+		t.Fatal("resume from a generation without an input offset must fail")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"reduced"`) || !strings.Contains(msg, "offset") {
+		t.Fatalf("error does not name the missing reduced offset: %v", err)
 	}
 }
 

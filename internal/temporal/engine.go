@@ -83,28 +83,6 @@ func NewEngine(plan *Plan, opts ...Option) (*Engine, error) {
 	return &Engine{pipeline: p, collect: collect, sink: sink, CTIPeriod: o.ctiPeriod, lastCTI: MinTime}, nil
 }
 
-// NewEngineTo compiles the plan delivering results to a caller-supplied
-// sink.
-//
-// Deprecated: use NewEngine(plan, WithSink(out)).
-func NewEngineTo(plan *Plan, out Sink) (*Engine, error) {
-	return NewEngine(plan, WithSink(out))
-}
-
-// NewEngineObserved is NewEngine with per-operator instrumentation.
-//
-// Deprecated: use NewEngine(plan, WithObs(scope)).
-func NewEngineObserved(plan *Plan, scope *obs.Scope) (*Engine, error) {
-	return NewEngine(plan, WithObs(scope))
-}
-
-// NewEngineObservedTo is NewEngineTo with per-operator instrumentation.
-//
-// Deprecated: use NewEngine(plan, WithSink(out), WithObs(scope)).
-func NewEngineObservedTo(plan *Plan, out Sink, scope *obs.Scope) (*Engine, error) {
-	return NewEngine(plan, WithSink(out), WithObs(scope))
-}
-
 // Pipeline exposes the compiled pipeline.
 func (e *Engine) Pipeline() *Pipeline { return e.pipeline }
 

@@ -157,26 +157,22 @@ const (
 
 // Constructors and helpers re-exported from the engine.
 var (
-	Int           = temporal.Int
-	Float         = temporal.Float
-	String        = temporal.String
-	Bool          = temporal.Bool
-	NewSchema     = temporal.NewSchema
-	Scan          = temporal.Scan
-	PointEvent    = temporal.PointEvent
-	SortEvents    = temporal.SortEvents
-	EventsEqual   = temporal.EventsEqual
-	Coalesce      = temporal.Coalesce
-	NewEngine     = temporal.NewEngine
-	RestoreEngine = temporal.RestoreEngine
-	WithSink      = temporal.WithSink
-	WithObs       = temporal.WithObs
-	WithCTIPeriod = temporal.WithCTIPeriod
-	AsBatchSink   = temporal.AsBatchSink
-	// Deprecated: use NewEngine(plan, WithSink(out)).
-	NewEngineTo = temporal.NewEngineTo
-	// Deprecated: use NewEngine(plan, WithObs(scope)).
-	NewEngineObserved = temporal.NewEngineObserved
+	Int               = temporal.Int
+	Float             = temporal.Float
+	String            = temporal.String
+	Bool              = temporal.Bool
+	NewSchema         = temporal.NewSchema
+	Scan              = temporal.Scan
+	PointEvent        = temporal.PointEvent
+	SortEvents        = temporal.SortEvents
+	EventsEqual       = temporal.EventsEqual
+	Coalesce          = temporal.Coalesce
+	NewEngine         = temporal.NewEngine
+	RestoreEngine     = temporal.RestoreEngine
+	WithSink          = temporal.WithSink
+	WithObs           = temporal.WithObs
+	WithCTIPeriod     = temporal.WithCTIPeriod
+	AsBatchSink       = temporal.AsBatchSink
 	RunPlan           = temporal.RunPlan
 	RowsToPointEvents = temporal.RowsToPointEvents
 	ColEqInt          = temporal.ColEqInt
@@ -209,8 +205,11 @@ type (
 	DFSDataset = mapreduce.Dataset
 	// Stage is one map-reduce stage.
 	Stage = mapreduce.Stage
-	// Reducer is a per-partition computation.
+	// Reducer is a per-partition computation over shuffle-run segments.
 	Reducer = mapreduce.Reducer
+	// Segment is one shuffle run of a reducer's input, resident or
+	// spilled.
+	Segment = mapreduce.Segment
 	// JobStat aggregates job accounting.
 	JobStat = mapreduce.JobStat
 	// StageStat aggregates stage accounting.
@@ -222,7 +221,8 @@ var (
 	NewCluster      = mapreduce.NewCluster
 	NewFS           = mapreduce.NewFS
 	SinglePartition = mapreduce.SinglePartition
-	PartitionByCols = mapreduce.PartitionByCols
+	// Materialize decodes a reducer's segments into whole row slices.
+	Materialize = mapreduce.Materialize
 )
 
 // ---- TiMR framework ----
@@ -279,8 +279,6 @@ var (
 	WithCrash        = core.WithCrash
 	WithIntake       = core.WithIntake
 	WithRebalance    = core.WithRebalance
-	// Deprecated: use NewStreamingJob(plan, sources, WithMachines(n), ...).
-	NewStreamingJobLegacy = core.NewStreamingJobLegacy
 )
 
 // Streaming admission errors.
